@@ -16,15 +16,15 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("matrix_geometric", &label),
             &mpl,
             |b, &mpl| {
-                let fs = FlexServer::new(lambda, h2, mpl);
-                b.iter(|| fs.solve().mean_response_time);
+                let fs = FlexServer::new(lambda, h2, mpl).unwrap();
+                b.iter(|| fs.solve().unwrap().mean_response_time);
             },
         );
         g.bench_with_input(
             BenchmarkId::new("truncated_chain", &label),
             &mpl,
             |b, &mpl| {
-                let fs = FlexServer::new(lambda, h2, mpl);
+                let fs = FlexServer::new(lambda, h2, mpl).unwrap();
                 b.iter(|| ctmc::solve_truncated(&fs, 600).mean_response_time);
             },
         );

@@ -704,7 +704,7 @@ pub fn fig7_report() -> String {
 /// = source phase count `j` (in-service jobs in phase 1), column = target.
 pub fn fig9_report() -> String {
     let h2 = H2::fit(1.0, 5.0);
-    let fs = FlexServer::new(0.7, h2, 2);
+    let fs = FlexServer::new(0.7, h2, 2).expect("load 0.7 is stable");
     let (a0, a1, a2) = fs.repeating_blocks();
     let fmt_block = |name: &str, m: &xsched_queueing::Mat| -> String {
         let mut rows = Vec::new();
@@ -750,7 +750,9 @@ pub fn fig10_report() -> String {
             let h2 = H2::fit(mean_size, c2);
             let mut row = vec![format!("C2={c2}")];
             for &m in &mpls {
-                let t = FlexServer::new(lambda, h2, m).mean_response_time();
+                let t = FlexServer::new(lambda, h2, m)
+                    .and_then(|fs| fs.mean_response_time())
+                    .expect("loads 0.7 and 0.9 are stable");
                 row.push(ms(t));
             }
             rows.push(row);
@@ -1175,8 +1177,8 @@ pub fn qbd_crosscheck_report() -> String {
     for (c2, rho, mpl) in [(2.0, 0.7, 5u32), (15.0, 0.7, 10), (15.0, 0.9, 30)] {
         let h2 = H2::fit(0.1, c2);
         let lambda = rho / 0.1;
-        let fs = FlexServer::new(lambda, h2, mpl);
-        let qbd = fs.solve();
+        let fs = FlexServer::new(lambda, h2, mpl).expect("loads 0.7 and 0.9 are stable");
+        let qbd = fs.solve().expect("the QBD solves at these loads");
         let tr = xsched_queueing::ctmc::solve_truncated(&fs, 2_000);
         rows.push(vec![
             format!("C2={c2} rho={rho} MPL={mpl}"),
@@ -1192,7 +1194,7 @@ pub fn qbd_crosscheck_report() -> String {
     format!(
         "Cross-check — matrix-geometric vs truncated chain\n{}",
         table(
-            &["case", "QBD ms", "truncated ms", "rel err", "R iters"],
+            &["case", "QBD ms", "truncated ms", "rel err", "LR steps"],
             &rows,
         )
     )
@@ -1233,8 +1235,13 @@ mod tests {
         let h2 = H2::fit(0.1, 15.0);
         let lambda = 7.0;
         let ps = mg1::mg1_ps_response_time(lambda, 0.1);
-        let t1 = FlexServer::new(lambda, h2, 1).mean_response_time();
-        let t35 = FlexServer::new(lambda, h2, 35).mean_response_time();
+        let rt = |m| {
+            FlexServer::new(lambda, h2, m)
+                .unwrap()
+                .mean_response_time()
+                .unwrap()
+        };
+        let (t1, t35) = (rt(1), rt(35));
         assert!(t1 > 3.0 * ps, "FIFO-like end is far above PS");
         assert!((t35 - ps) / ps < 0.10, "MPL 35 is near PS");
     }

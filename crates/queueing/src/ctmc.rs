@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn truncated_mm1_matches_closed_form() {
         // M/M/1 with finite buffer N: for N large it converges to M/M/1.
-        let fs = FlexServer::new(5.0, H2::exponential(0.1), 1);
+        let fs = FlexServer::new(5.0, H2::exponential(0.1), 1).unwrap();
         let sol = solve_truncated(&fs, 200);
         let want = mg1::mm1_response_time(5.0, 0.1);
         assert!(sol.truncation_mass < 1e-12);
@@ -161,14 +161,14 @@ mod tests {
         ] {
             let h2 = H2::fit(0.1, c2);
             let lambda = rho / 0.1;
-            let fs = FlexServer::new(lambda, h2, mpl);
-            let qbd = fs.solve();
+            let fs = FlexServer::new(lambda, h2, mpl).unwrap();
+            let qbd = fs.solve().unwrap();
             let trunc = solve_truncated(&fs, 800);
             assert!(trunc.truncation_mass < 1e-8, "truncation too low");
             let rel = (qbd.mean_response_time - trunc.mean_response_time).abs()
                 / trunc.mean_response_time;
             assert!(
-                rel < 1e-6,
+                rel < 1e-9,
                 "c2={c2} rho={rho} mpl={mpl}: qbd {} vs truncated {}",
                 qbd.mean_response_time,
                 trunc.mean_response_time
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn level_probabilities_sum_to_one_and_decay() {
-        let fs = FlexServer::new(6.0, H2::fit(0.1, 5.0), 4);
+        let fs = FlexServer::new(6.0, H2::fit(0.1, 5.0), 4).unwrap();
         let sol = solve_truncated(&fs, 400);
         let total: f64 = sol.level_probs.iter().sum();
         assert!((total - 1.0).abs() < 1e-10);
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "truncation must exceed")]
     fn rejects_tiny_truncation() {
-        let fs = FlexServer::new(1.0, H2::exponential(0.1), 5);
+        let fs = FlexServer::new(1.0, H2::exponential(0.1), 5).unwrap();
         solve_truncated(&fs, 4);
     }
 }

@@ -30,7 +30,7 @@ pub mod mg1;
 pub mod mva;
 pub mod recommend;
 
-pub use flex::FlexServer;
+pub use flex::{FlexServer, QueueingError};
 pub use h2::H2;
 pub use linalg::Mat;
 pub use mva::ClosedNetwork;

@@ -64,18 +64,26 @@ impl Mat {
         self.cols
     }
 
-    /// Matrix product `self · rhs`.
+    /// Matrix product `self · rhs`. Zero entries of `self` are skipped, so
+    /// a sparse left factor costs only its nonzeros times `rhs.cols`.
     pub fn mul(&self, rhs: &Mat) -> Mat {
         assert_eq!(self.cols, rhs.rows, "dimension mismatch in mul");
         let mut out = Mat::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
+        if self.cols == 0 || rhs.cols == 0 {
+            return out;
+        }
+        let rhs_rows = rhs.data.chunks_exact(rhs.cols);
+        for (out_row, row) in out
+            .data
+            .chunks_exact_mut(rhs.cols)
+            .zip(self.data.chunks_exact(self.cols))
+        {
+            for (&a, rhs_row) in row.iter().zip(rhs_rows.clone()) {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
+                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                    *o += a * b;
                 }
             }
         }
@@ -145,6 +153,17 @@ impl Mat {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
 
+    /// Largest absolute row sum (the ∞-norm of the matrix as an operator).
+    pub fn max_row_sum(&self) -> f64 {
+        if self.cols == 0 {
+            return 0.0;
+        }
+        self.data
+            .chunks_exact(self.cols)
+            .map(|row| row.iter().map(|x| x.abs()).sum::<f64>())
+            .fold(0.0, f64::max)
+    }
+
     /// Solve `x · self = b` for the row vector `x` (i.e. solve
     /// `selfᵀ xᵀ = bᵀ`). Panics if the matrix is singular.
     pub fn solve_left(&self, b: &[f64]) -> Vec<f64> {
@@ -155,12 +174,52 @@ impl Mat {
     /// Solve `self · x = b` by LU with partial pivoting. Panics if the
     /// matrix is numerically singular.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows);
+        let mut x = vec![0.0; self.rows];
+        Lu::factor(self).solve_into(b, &mut x);
+        x
+    }
+
+    /// Matrix inverse: one LU factorization, then one pair of triangular
+    /// substitutions per column. Panics if singular.
+    pub fn inverse(&self) -> Mat {
+        let lu = Lu::factor(self);
         let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        // Forward elimination with partial pivoting.
+        let mut out = Mat::zeros(n, n);
+        let mut e = vec![0.0; n];
+        let mut col = vec![0.0; n];
+        for j in 0..n {
+            e[j] = 1.0;
+            lu.solve_into(&e, &mut col);
+            e[j] = 0.0;
+            for (i, &v) in col.iter().enumerate() {
+                out[(i, j)] = v;
+            }
+        }
+        out
+    }
+
+    /// Transpose.
+    pub fn transpose(&self) -> Mat {
+        Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+    }
+}
+
+/// LU factorization with partial pivoting, `P·A = L·U`, packed in one
+/// row-major buffer: the unit-lower `L`'s multipliers below the diagonal,
+/// `U` on and above it. Row `i` of `P·A` is row `perm[i]` of `A`.
+struct Lu {
+    n: usize,
+    a: Vec<f64>,
+    perm: Vec<usize>,
+}
+
+impl Lu {
+    fn factor(m: &Mat) -> Lu {
+        assert_eq!(m.rows, m.cols, "LU requires a square matrix");
+        let n = m.rows;
+        let mut a = m.data.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
         for col in 0..n {
             let mut piv = col;
             let mut best = a[col * n + col].abs();
@@ -176,52 +235,40 @@ impl Mat {
                 for j in 0..n {
                     a.swap(col * n + j, piv * n + j);
                 }
-                x.swap(col, piv);
+                perm.swap(col, piv);
             }
             let d = a[col * n + col];
-            for r in (col + 1)..n {
-                let f = a[r * n + col] / d;
-                if f == 0.0 {
-                    continue;
+            let (upper, lower) = a.split_at_mut((col + 1) * n);
+            let pivot_row = &upper[col * n + col + 1..col * n + n];
+            for row in lower.chunks_exact_mut(n) {
+                let f = row[col] / d;
+                row[col] = f;
+                if f != 0.0 {
+                    for (x, p) in row[col + 1..].iter_mut().zip(pivot_row) {
+                        *x -= f * p;
+                    }
                 }
-                a[r * n + col] = 0.0;
-                for j in (col + 1)..n {
-                    a[r * n + j] -= f * a[col * n + j];
-                }
-                x[r] -= f * x[col];
             }
         }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut s = x[col];
-            for j in (col + 1)..n {
-                s -= a[col * n + j] * x[j];
-            }
-            x[col] = s / a[col * n + col];
-        }
-        x
+        Lu { n, a, perm }
     }
 
-    /// Matrix inverse via `n` solves. Panics if singular.
-    pub fn inverse(&self) -> Mat {
-        assert_eq!(self.rows, self.cols);
-        let n = self.rows;
-        let mut out = Mat::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e);
-            e[j] = 0.0;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
+    /// Write the solution of `A·x = b` into `x`.
+    fn solve_into(&self, b: &[f64], x: &mut [f64]) {
+        let n = self.n;
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
         }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Mat {
-        Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        for r in 1..n {
+            let row = &self.a[r * n..r * n + r];
+            let s: f64 = row.iter().zip(&x[..r]).map(|(l, y)| l * y).sum();
+            x[r] -= s;
+        }
+        for r in (0..n).rev() {
+            let row = &self.a[r * n + r + 1..(r + 1) * n];
+            let s: f64 = row.iter().zip(&x[r + 1..]).map(|(u, y)| u * y).sum();
+            x[r] = (x[r] - s) / self.a[r * n + r];
+        }
     }
 }
 

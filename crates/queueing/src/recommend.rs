@@ -12,7 +12,7 @@
 //! The recommended starting MPL is the maximum of the two: it must be high
 //! enough for *both* throughput and response time.
 
-use crate::flex::FlexServer;
+use crate::flex::{FlexServer, QueueingError};
 use crate::h2::H2;
 use crate::mg1;
 use crate::mva::ClosedNetwork;
@@ -84,26 +84,48 @@ fn guess_cap(model: &ThroughputModel) -> u32 {
         .max(1000)
 }
 
+/// Relative slack of the scan's comparison `E[T](m) ≤ target`. The solver
+/// gets `E[T]` to about 1e-11 relative; where the exact value equals the
+/// target (C² = 1 makes the queue M/M/1 at every MPL, so slack 0 puts
+/// every `E[T]` exactly on it) rounding alone would decide the answer.
+/// Any `E[T]` within this much of the target meets it.
+const RT_MATCH_TOLERANCE: f64 = 1e-9;
+
 /// Lowest MPL at which the flexible multiserver queue's mean response time
 /// is within `slack` (e.g. 0.05 for 5%) of the pure-PS response time, given
 /// job-size mean/C² and the arrival rate.
 ///
 /// Returns `max_mpl` if even that does not reach the target (callers treat
-/// that as "effectively unlimited").
+/// that as "effectively unlimited"). An MPL whose model cannot be solved
+/// (see [`crate::flex::QueueingError`]) counts as not meeting the target.
 pub fn min_mpl_for_response_time(job_size: H2, lambda: f64, slack: f64, max_mpl: u32) -> u32 {
     assert!(slack >= 0.0);
     let ps = mg1::mg1_ps_response_time(lambda, job_size.mean());
     let target = ps * (1.0 + slack);
-    // E[T](mpl) is monotone nonincreasing in MPL for H2 job sizes, so a
-    // linear scan with early exit is both simple and robust; each solve is
-    // cheap at the small MPLs that matter.
-    for mpl in 1..=max_mpl {
-        let t = FlexServer::new(lambda, job_size, mpl).mean_response_time();
-        if t <= target {
-            return mpl;
-        }
-    }
-    max_mpl
+    first_mpl_meeting(target, max_mpl, |mpl| {
+        FlexServer::new(lambda, job_size, mpl)?.mean_response_time()
+    })
+}
+
+/// The scan behind [`min_mpl_for_response_time`]: the first `m` in
+/// `1..=max_mpl` whose `response_time(m)` is within
+/// [`RT_MATCH_TOLERANCE`] of `target` or below it, else `max_mpl`.
+///
+/// E[T](m) is monotone nonincreasing in the MPL for H2 job sizes, so the
+/// first hit is the answer. The scan stays linear because the cost of a
+/// solve at m grows at least as (m+1)³, so the last probes dominate: the
+/// linear scan to an answer of 21 costs Σ_{m≤21}(m+1)³ ≈ 64k units, while
+/// galloping (1, 2, 4, …, 32) and bisecting back spends ≈ 64k on its
+/// probes at 32, 24 and 22 alone and ≈ 89k in all.
+fn first_mpl_meeting(
+    target: f64,
+    max_mpl: u32,
+    mut response_time: impl FnMut(u32) -> Result<f64, QueueingError>,
+) -> u32 {
+    let limit = target * (1.0 + RT_MATCH_TOLERANCE);
+    (1..=max_mpl)
+        .find(|&mpl| response_time(mpl).is_ok_and(|t| t <= limit))
+        .unwrap_or(max_mpl)
 }
 
 /// Combined jump-start: the MPL must satisfy both the throughput and the
@@ -196,6 +218,86 @@ mod tests {
         let j = jumpstart_mpl(&model, 0.95, h2, 7.0, 0.05, 100);
         assert!(j >= min_mpl_for_throughput(&model, 0.95));
         assert!(j >= min_mpl_for_response_time(h2, 7.0, 0.05, 100));
+    }
+
+    #[test]
+    fn exact_ties_resolve_to_the_first_mpl() {
+        // C² = 1 makes the queue M/M/1 at every MPL, so with slack 0 each
+        // E[T] equals the target and only rounding tells them apart.
+        let h2 = H2::fit(0.1, 1.0);
+        for i in 1..=19 {
+            let rho = 0.05 * i as f64;
+            assert_eq!(
+                min_mpl_for_response_time(h2, rho / 0.1, 0.0, 60),
+                1,
+                "rho = {rho}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsolvable_mpl_counts_as_target_not_met() {
+        let fail = QueueingError::NotConverged {
+            steps: 64,
+            residual: 1e-3,
+        };
+        // E[T](m) = 1/m meets 0.3 from m = 4 on.
+        let rt = |m: u32| Ok(1.0 / f64::from(m));
+        assert_eq!(first_mpl_meeting(0.3, 10, rt), 4);
+        let rt = |m: u32| {
+            if m == 4 {
+                Err(fail)
+            } else {
+                Ok(1.0 / f64::from(m))
+            }
+        };
+        assert_eq!(first_mpl_meeting(0.3, 10, rt), 5);
+        assert_eq!(first_mpl_meeting(0.3, 10, |_| Err(fail)), 10);
+    }
+
+    /// The scan picks the MPL the functional-iteration oracle's scan
+    /// picked, E[T] agrees with the oracle's to 1e-9, and logarithmic
+    /// reduction needs at most 20 steps, over C² ∈ [1.3, 15],
+    /// ρ ∈ [0.3, 0.95] and slack ∈ [0.01, 0.2].
+    ///
+    /// The oracle's scan took the first m with E[T](m) ≤ target. E[T] is
+    /// monotone in the MPL (see `flex_monotone_in_mpl`), so that first m
+    /// is `got` exactly when the oracle puts `got − 1` above the target
+    /// and `got` on or below it; at the cap the oracle's scan returns 60
+    /// either way. Those two probes are what the oracle solves here.
+    #[test]
+    fn scan_matches_functional_iteration_oracle() {
+        let max_mpl = 60;
+        for &c2 in &[1.3, 4.0, 15.0] {
+            for &rho in &[0.3, 0.6, 0.95] {
+                for &slack in &[0.01, 0.05, 0.2] {
+                    let h2 = H2::fit(0.1, c2);
+                    let lambda = rho / 0.1;
+                    let target = mg1::mg1_ps_response_time(lambda, 0.1) * (1.0 + slack);
+                    let got = min_mpl_for_response_time(h2, lambda, slack, max_mpl);
+                    let case = format!("C2={c2} rho={rho} slack={slack}: scan gave {got}");
+                    for m in [1, got - 1, got] {
+                        if m == 0 {
+                            continue;
+                        }
+                        let fs = FlexServer::new(lambda, h2, m).unwrap();
+                        let new = fs.solve().unwrap();
+                        let old = fs.solve_functional();
+                        let (t_new, t_old) = (new.mean_response_time, old.mean_response_time);
+                        assert!(new.r_iterations <= 20, "{case}: {} steps", new.r_iterations);
+                        assert!(
+                            (t_new - t_old).abs() <= 1e-9 * t_old,
+                            "{case}: E[T]({m}) {t_new} vs oracle {t_old}"
+                        );
+                        if m == got - 1 {
+                            assert!(t_old > target, "{case}: oracle meets target at {m}");
+                        } else if m == got && got < max_mpl {
+                            assert!(t_old <= target, "{case}: oracle misses target at {m}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

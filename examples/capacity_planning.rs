@@ -52,7 +52,9 @@ fn main() {
     let h2 = H2::fit(mean, 15.0);
     let lambda = 0.9 / mean;
     for mpl in [1u32, 5, 10, 20, 30] {
-        let t = FlexServer::new(lambda, h2, mpl).mean_response_time();
+        let t = FlexServer::new(lambda, h2, mpl)
+            .and_then(|fs| fs.mean_response_time())
+            .expect("load 0.9 is stable at every MPL");
         println!(
             "  MPL {mpl:>2}: predicted mean response time {:.0} ms",
             t * 1e3

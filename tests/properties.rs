@@ -144,7 +144,7 @@ proptest! {
         let mean = 0.1;
         let h2 = H2::fit(mean, c2);
         let lambda = rho / mean;
-        let sol = FlexServer::new(lambda, h2, mpl).solve();
+        let sol = FlexServer::new(lambda, h2, mpl).unwrap().solve().unwrap();
         let ps = extsched::queueing::mg1::mg1_ps_response_time(lambda, mean);
         let fifo = extsched::queueing::mg1::mg1_fifo_response_time_h2(lambda, &h2);
         prop_assert!(sol.mean_response_time >= ps * (1.0 - 1e-6),
